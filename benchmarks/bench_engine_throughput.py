@@ -6,7 +6,7 @@ staying bit-identical to the loop oracle.  This benchmark measures
 MVM-batches/s for both backends on the acceptance workload — a 256x256
 layer, batch 32, 8-bit weighted-spike drive — plus a noisy-device
 variant where the per-sub-cycle ADC/noise physics cannot be collapsed
-and both backends pay the same arithmetic.
+and both backends draw the same noise.
 
 Acceptance: vectorized >= 10x loop on the ideal-device workload.
 """

@@ -13,6 +13,7 @@ same object serves any device configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -68,19 +69,34 @@ class ADCConfig:
         return cls(bits=bits, full_scale_levels=float(2**bits - 1))
 
 
-def quantize_levels(level_values: np.ndarray, config: ADCConfig) -> np.ndarray:
+def quantize_levels(
+    level_values: np.ndarray,
+    config: ADCConfig,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """The I&F transfer function, vectorized over any input shape.
 
     Values are clipped at the full scale (counter saturation) and
     floored at zero (the I&F cannot fire a negative spike), snapped to
     the count grid, then mapped back to level units.  Both the per-array
-    loop path and the stacked vectorized backend apply exactly this
-    function, so ADC quantization is bit-identical between them.
+    loop path and the vectorized backend apply exactly this function,
+    so ADC quantization is bit-identical between them.
+
+    ``out`` receives the result (``out=level_values`` converts in
+    place); without it a new array is returned.  On a unit count grid
+    the divide and multiply by one are skipped — they are exact, so
+    the bits do not change.
     """
     level_values = np.asarray(level_values, dtype=np.float64)
-    clipped = np.clip(level_values, 0.0, config.full_scale_levels)
-    counts = np.rint(clipped / config.levels_per_count)
-    return counts * config.levels_per_count
+    if out is None:
+        out = np.empty(level_values.shape)
+    np.clip(level_values, 0.0, config.full_scale_levels, out=out)
+    step = config.levels_per_count
+    if step == 1.0:
+        return np.rint(out, out=out)
+    np.divide(out, step, out=out)
+    np.rint(out, out=out)
+    return np.multiply(out, step, out=out)
 
 
 class IntegrateFireADC:

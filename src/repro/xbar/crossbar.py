@@ -103,16 +103,19 @@ class CrossbarArray:
         view.flags.writeable = False
         return view
 
-    def read_noise_levels(self, shape) -> np.ndarray:
+    def read_noise_levels(
+        self, shape, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Draw per-read output noise from *this array's* stream.
 
         The explicit device-noise seam shared by both evaluation
         backends: one stacked draw of shape ``(subcycles, batch, cols)``
         consumes the generator exactly like that many sequential
         per-subcycle draws, which is what makes the vectorized backend
-        bit-identical to the loop path under a shared seed.
+        bit-identical to the loop path under a shared seed.  ``out``
+        receives the draw instead of a new array.
         """
-        return self._model.read_noise_levels(shape)
+        return self._model.read_noise_levels(shape, out=out)
 
     def transient_upset_levels(self, shape) -> np.ndarray:
         """Per-read soft-error impulses from *this array's* own stream.
@@ -134,9 +137,9 @@ class CrossbarArray:
     def effective_levels(self) -> np.ndarray:
         """Stored matrix in level units, including programming error.
 
-        This is the exact matrix every read multiplies by — the tensor
-        the vectorized backend stacks, and the basis of the engine's
-        linear fast path.
+        This is the exact matrix every read multiplies by — in both
+        evaluation backends — and the basis of the engine's linear
+        fast path.
         """
         if self._levels is None:
             raise RuntimeError("array has not been programmed")

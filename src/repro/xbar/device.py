@@ -312,18 +312,31 @@ class DeviceModel:
         effective = self.program_levels(levels)
         return config.g_min + effective * config.g_step
 
-    def read_noise_levels(self, shape, reads: int = 1) -> np.ndarray:
+    def read_noise_levels(
+        self, shape, reads: int = 1, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Additive per-read output noise, in conductance-level units.
 
         The sigma is ``read_noise`` level units per column output (the
         domain the crossbar works in after baseline correction);
         ``reads`` independent reads accumulate as ``sqrt(reads)``.
+        ``out`` (a C-contiguous float64 array of ``shape``) receives
+        the noise instead of a new array.
+
+        The draw is ``standard_normal`` scaled in place: the same bytes
+        as ``normal(0.0, sigma, shape)`` from the same stream, cheaper,
+        and numpy fills the buffer without holding the interpreter
+        lock, so arrays read on different threads draw in parallel.
         """
         config = self.config
+        if out is None:
+            out = np.empty(shape)
         if config.read_noise == 0.0:
-            return np.zeros(shape)
-        sigma = config.read_noise * np.sqrt(reads)
-        return self._read_rng.normal(0.0, sigma, size=shape)
+            out.fill(0.0)
+            return out
+        self._read_rng.standard_normal(out=out)
+        out *= config.read_noise * np.sqrt(reads)
+        return out
 
     def transient_upset_levels(self, shape) -> np.ndarray:
         """Per-read soft-error impulses, in conductance-level units.

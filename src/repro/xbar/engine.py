@@ -33,29 +33,35 @@ Two interchangeable backends evaluate the full datapath:
     per (sub-cycle, plane).  Slow but structurally identical to the
     hardware description above.
 ``backend="vectorized"`` (default)
-    Stacks every slice plane of every tile into one conductance tensor
-    per sign, evaluates all sub-cycles of a batch with batched matmuls,
-    and applies the I&F ADC quantization across the whole stack at
-    once.  Bit-for-bit identical to the loop backend under a shared
-    seed: read noise is drawn from each array's own generator in
-    sub-cycle order (a stacked draw consumes a numpy ``Generator``
-    exactly like sequential per-sub-cycle draws), and both backends
-    share one ADC transfer function
-    (:func:`repro.xbar.adc.quantize_levels`).  When every per-array
-    conversion is provably the identity — integer level matrices, no
-    read noise, unit-grid ADC with sufficient range (stuck faults
-    allowed) — the sub-cycle loop additionally collapses onto a cached
-    combined effective-weights matrix, turning the whole evaluation
-    into one exact integer matmul (~100x over the loop backend on a
-    256x256 layer).
+    Evaluates all sub-cycles of a batch per physical array at once:
+    each array multiplies its whole stack of drive rows in one matmul,
+    then drift, read noise, upsets and the I&F ADC act in place.  The
+    arrays of one (slice plane, block column) strip run in block-row
+    order inside one task, and the strips of a layer run in parallel
+    on the CPUs the process may use.  Bit-for-bit identical to the
+    loop backend under a shared seed: read noise is drawn from each
+    array's own generator in sub-cycle order (a stacked draw consumes
+    a numpy ``Generator`` exactly like sequential per-sub-cycle
+    draws), one task owns each array's streams, the row-block fold
+    and shift-add run in the loop's order, and both backends share
+    one ADC transfer function (:func:`repro.xbar.adc.quantize_levels`).
+    When every per-array conversion is provably the identity — integer
+    level matrices, no read noise, unit-grid ADC with sufficient range
+    (stuck faults allowed) — the sub-cycle loop additionally collapses
+    onto a cached combined effective-weights matrix, turning the whole
+    evaluation into one exact integer matmul (~100x over the loop
+    backend on a 256x256 layer).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -131,19 +137,25 @@ class CrossbarEngineConfig:
     def is_linear(self) -> bool:
         """True when the read path is exact (noise only in programming).
 
-        With no read noise and a lossless unit-grid ADC, the bit-serial
+        With no read noise, no transient faults and an ADC that converts
+        every integer column sum exactly — a unit count grid whose range
+        covers the worst case of this drive mode — the bit-serial
         pipeline is a linear function of the word-line drive, so the
         whole evaluation collapses to one matmul with the *effective*
         programmed matrix — up to the ADC's half-count rounding of
         non-integer (noisy-cell) partial sums, which the fast path
         approximates away (bounded by half an output LSB).
+
+        This is the one ADC-exactness test; :attr:`is_collapsible` and
+        :attr:`is_ideal` narrow it by device condition.
         """
-        if self.device.read_noise != 0.0 or self.device.has_transient_faults:
+        device = self.device
+        if device.read_noise != 0.0 or device.has_transient_faults:
             return False
         adc = self.adc_config()
         if adc is None:
             return True
-        needed = self.array_rows * (self.device.levels - 1)
+        needed = self.array_rows * (device.levels - 1)
         if self.input_mode == "analog":
             needed *= self.encoding.max_int
         return (
@@ -153,33 +165,31 @@ class CrossbarEngineConfig:
         )
 
     @property
+    def is_collapsible(self) -> bool:
+        """True when every per-array conversion is provably the identity.
+
+        :attr:`is_linear` plus integer effective level matrices: no
+        programming noise and no IR drop (stuck faults are fine, a
+        stuck cell still holds an integer level).  Every pre-ADC
+        partial sum is then an integer on the count grid and inside
+        range, so clip and round return it unchanged — which licenses
+        the vectorized backend's sub-cycle collapse.
+        """
+        device = self.device
+        return (
+            self.is_linear
+            and device.program_noise == 0.0
+            and device.wire_resistance == 0.0
+        )
+
+    @property
     def is_ideal(self) -> bool:
         """True when the pipeline equals exact integer matmul."""
         device = self.device
-        clean_device = (
-            device.program_noise == 0.0
-            and device.read_noise == 0.0
+        return (
+            self.is_collapsible
             and device.stuck_off_rate == 0.0
             and device.stuck_on_rate == 0.0
-            and not device.has_transient_faults
-            and device.wire_resistance == 0.0
-        )
-        if not clean_device:
-            return False
-        adc = self.adc_config()
-        if adc is None:
-            return True
-        if self.input_mode in ("spike", "rate"):
-            needed = self.array_rows * (device.levels - 1)
-        else:
-            needed = (
-                self.array_rows * (device.levels - 1) * self.encoding.max_int
-            )
-        # Exactness needs range AND a one-count-per-level grid.
-        return (
-            adc.max_count >= needed
-            and adc.full_scale_levels >= needed
-            and adc.levels_per_count == 1.0
         )
 
 
@@ -357,18 +367,12 @@ del _field
 class _VectorizedState:
     """Per-prepare() cache backing the vectorized backend.
 
-    ``gmat`` is the stacked conductance tensor of *every* physical
-    array of every slice plane, pre-transposed into the batched-matmul
-    layout ``(grid_rows, array_rows, n_planes * grid_cols *
-    array_cols)``; ``plane_weights`` carries each plane's signed
-    shift-and-add factor (``±radix**slice``).  Built lazily on the
-    first vectorized matmul and invalidated whenever ``prepare()``
-    reprograms the arrays.  When the ADC is transparent (see
-    ``collapsed``), ``gmat`` is ``None`` — the stacked path is never
-    taken.
+    ``arrays`` holds every physical array of every slice plane;
+    ``plane_weights`` carries each plane's signed shift-and-add factor
+    (``±radix**slice``).  Built lazily on the first vectorized matmul
+    and invalidated whenever ``prepare()`` reprograms the arrays.
     """
 
-    gmat: Optional[np.ndarray]
     plane_weights: np.ndarray
     arrays: list  # [plane][grid_row][grid_col] -> CrossbarArray
     adc: ADCConfig
@@ -383,12 +387,100 @@ class _VectorizedState:
     collapsed: Optional[np.ndarray] = None
 
 
-#: Soft cap (float64 elements) on the intermediate partial-sum tensor
-#: of one vectorized chunk (~128 MB).  Rate coding drives hundreds of
+#: Soft cap (float64 elements) on the buffers of one vectorized
+#: chunk (~128 MB).  Rate coding drives hundreds of
 #: sub-cycles per MVM; chunking the sub-cycle axis keeps memory flat
 #: while preserving the per-array RNG stream order (sequential chunks
 #: consume a generator exactly like one big draw).
 _VECTOR_CHUNK_ELEMENTS = 16_000_000
+
+
+def _host_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where one exists)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Scratch:
+    """Named float64 work buffers that one worker reuses across calls.
+
+    A fresh multi-megabyte array faults in every page on each use, and
+    the page faults of concurrent threads serialize in the kernel; a
+    buffer grown once and reused keeps the strip tasks parallel.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous ``shape`` view of buffer ``name`` (contents stale)."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+class _StripPool:
+    """Runs one engine's strip tasks on every CPU the process may use.
+
+    ``workers = min(CPUs, strips)``: the calling thread is one worker
+    and pool threads are the rest, each worker taking every
+    ``workers``-th strip.  The pool starts threads only as calls need
+    them, so a layer with fewer strips than CPUs never starts the
+    surplus, and with one worker the tasks run inline and no thread
+    starts at all.  The pool is built on first use, and again in a
+    forked child, where the parent's pool threads do not exist.
+    """
+
+    def __init__(self) -> None:
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._pid = 0
+        self._cpus = 1
+        self._scratch: List[_Scratch] = [_Scratch()]
+
+    def run(
+        self, task: Callable[[int, _Scratch], None], strips: int
+    ) -> None:
+        """Call ``task(strip, scratch)`` for every strip; return when done.
+
+        ``scratch`` belongs to the worker running the task, so tasks
+        may use it freely; each strip must write only its own output.
+        """
+        if self._pid != os.getpid():
+            self._pid = os.getpid()
+            self._cpus = _host_cpus()
+            self._executor = None
+        workers = min(self._cpus, strips)
+        while len(self._scratch) < workers:
+            self._scratch.append(_Scratch())
+
+        def share(worker: int) -> None:
+            for strip in range(worker, strips, workers):
+                task(strip, self._scratch[worker])
+
+        if workers <= 1:
+            share(0)
+            return
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._cpus - 1, thread_name_prefix="repro-xbar"
+            )
+        futures = [
+            self._executor.submit(share, worker)
+            for worker in range(1, workers)
+        ]
+        try:
+            share(0)
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+
+    def scratch(self) -> _Scratch:
+        """The calling thread's work buffers (worker 0's)."""
+        return self._scratch[0]
 
 
 class CrossbarEngine(MatmulEngine):
@@ -428,6 +520,7 @@ class CrossbarEngine(MatmulEngine):
         self._dac = AnalogDAC(self.config.encoding)
         self._effective: Optional[np.ndarray] = None
         self._vector: Optional[_VectorizedState] = None
+        self._strips = _StripPool()
 
     # -- weight programming -------------------------------------------------
     def prepare(self, weights: np.ndarray) -> None:
@@ -520,7 +613,7 @@ class CrossbarEngine(MatmulEngine):
                     )
             tel.count("weights_programmed", int(weights.size))
         # program() changed the physical state: both derived caches
-        # (effective matrix, stacked conductance tensor) are stale.
+        # (effective matrix, vectorized state) are stale.
         self._effective = None
         self._vector = None
 
@@ -782,86 +875,40 @@ class CrossbarEngine(MatmulEngine):
             weights = [1.0]
         return np.stack(planes), np.asarray(weights)
 
-    def _adc_transparent(self, adc: ADCConfig) -> bool:
-        """True when every per-array conversion is provably the identity.
-
-        Requires integer effective level matrices (no programming
-        noise, no IR drop — stuck faults are fine, a stuck cell is
-        still an integer level), a noiseless read path, and a
-        unit-grid ADC whose range covers the worst-case column sum of
-        this drive mode.  Under those conditions every pre-ADC partial
-        sum is an integer already on the count grid and inside range,
-        so clip+round returns it unchanged — which licenses the
-        sub-cycle collapse in :meth:`_full_path_vectorized`.
-        """
-        device = self.config.device
-        if (
-            device.program_noise != 0.0
-            or device.read_noise != 0.0
-            or device.has_transient_faults
-            or device.wire_resistance != 0.0
-        ):
-            return False
-        needed = self.config.array_rows * (device.levels - 1)
-        if self.config.input_mode == "analog":
-            needed *= self.config.encoding.max_int
-        return (
-            adc.levels_per_count == 1.0
-            and adc.max_count >= needed
-            and adc.full_scale_levels >= needed
-        )
-
     def _vector_state(self) -> _VectorizedState:
-        """Build (or reuse) the stacked-conductance cache."""
+        """Build (or reuse) the vectorized backend's per-prepare cache."""
         if self._vector is not None:
             return self._vector
         tiles = self._tiles
         first = next(iter(tiles.values()))
-        grid_rows, grid_cols = first.grid_rows, first.grid_cols
-        rows, cols = self.config.array_rows, self.config.array_cols
         radix = float(2**self._sliced.mapping.cell_bits)
-        n_planes = len(tiles)
         arrays = []
-        plane_weights = np.empty(n_planes)
+        plane_weights = np.empty(len(tiles))
         for index, ((plane_name, slice_index), tile) in enumerate(
             tiles.items()
         ):
             arrays.append(tile.arrays)
             sign = -1.0 if plane_name == "neg" else 1.0
             plane_weights[index] = sign * radix**slice_index
-        adc = first.arrays[0][0].adc.config
         collapsed: Optional[np.ndarray] = None
-        gmat: Optional[np.ndarray] = None
-        if self._adc_transparent(adc):
+        if self.config.is_collapsible:
             # Effective-weights cache: with a transparent ADC the whole
             # bit-serial evaluation equals one matmul against the
             # combined signed effective level matrix (see
-            # _full_path_vectorized).  The stacked tensor is skipped
-            # entirely — it would never be read.
+            # _full_path_vectorized).
             collapsed = np.zeros(self._cached_weights.shape)
             for (plane_name, slice_index), tile in tiles.items():
                 sign = -1.0 if plane_name == "neg" else 1.0
                 collapsed += (
                     sign * radix**slice_index * tile.effective_logical()
                 )
-        else:
-            stacked = np.empty((n_planes, grid_rows, grid_cols, rows, cols))
-            for index, (_, tile) in enumerate(tiles.items()):
-                stacked[index] = tile.level_blocks()
-            # (P, g, h, R, C) -> (g, R, P*h*C): one batched matmul per MVM.
-            gmat = np.ascontiguousarray(
-                stacked.transpose(1, 3, 0, 2, 4).reshape(
-                    grid_rows, rows, n_planes * grid_cols * cols
-                )
-            )
         self._vector = _VectorizedState(
-            gmat=gmat,
             plane_weights=plane_weights,
             arrays=arrays,
-            adc=adc,
-            grid_rows=grid_rows,
-            grid_cols=grid_cols,
-            n_planes=n_planes,
+            adc=first.arrays[0][0].adc.config,
+            grid_rows=first.grid_rows,
+            grid_cols=first.grid_cols,
+            n_planes=len(tiles),
             collapsed=collapsed,
         )
         return self._vector
@@ -879,76 +926,94 @@ class CrossbarEngine(MatmulEngine):
 
         Adds one input sign's shift-and-add total into ``accumulator``
         with every physical effect applied where the loop backend
-        applies it: per-array read noise (drawn from each array's own
-        stream in sub-cycle order), the I&F ADC on each array's columns
-        *before* the vertical partial-sum add, then the sequential
-        row-block fold of :meth:`TiledCrossbar.mvm`.  The sub-cycle
-        axis is chunked to bound memory; chunks run in sub-cycle order
-        so the RNG streams and the accumulation order are exactly the
-        loop backend's.
+        applies it.  The work splits into *strips*, one per (slice
+        plane, block column); strips run in parallel on
+        :class:`_StripPool`.  A strip walks its block rows in order:
+        each array multiplies its drive rows, then drift, read noise
+        (drawn from the array's own stream in sub-cycle order) and
+        upsets strike, the I&F ADC converts in place, and the result
+        folds into the strip's own columns of one shared buffer — the
+        sequential row-block fold of :meth:`TiledCrossbar.mvm`.  Every
+        array belongs to exactly one strip, so one task consumes its
+        RNG streams and drift clock, exactly as the loop backend does.
+        The sub-cycle axis is chunked to bound memory; chunks run in
+        sub-cycle order.
         """
         device = self.config.device
         grid_rows, grid_cols = state.grid_rows, state.grid_cols
         rows, cols = self.config.array_rows, self.config.array_cols
         n_planes = state.n_planes
         subcycles, batch, logical_rows = planes.shape
+        adc = state.adc
+        drift = device.drift_nu > 0.0
+        noise = device.read_noise > 0.0
+        upsets = device.upset_rate > 0.0
+        scratch = self._strips.scratch()
 
-        padded = np.zeros((subcycles, batch, grid_rows * rows))
-        padded[:, :, :logical_rows] = planes
-        blocked = padded.reshape(subcycles, batch, grid_rows, rows)
-
-        per_subcycle = batch * n_planes * grid_rows * grid_cols * cols
+        # Elements one sub-cycle adds to the chunk's buffers: folded
+        # sums, drive rows, and a worker's levels and noise.
+        per_subcycle = batch * (
+            n_planes * logical_cols + grid_rows * rows + 2 * cols
+        )
         chunk = max(1, _VECTOR_CHUNK_ELEMENTS // per_subcycle)
         # On a unit count grid every post-ADC value is an integer, so
         # any summation order is exact and one einsum suffices.  On a
         # fractional grid (lossy ADC) the summands carry rounding, so
         # the loop backend's accumulation order is replicated term by
         # term to stay bit-identical.
-        exact_grid = state.adc.levels_per_count == 1.0
+        exact_grid = adc.levels_per_count == 1.0
         for start in range(0, subcycles, chunk):
-            part = blocked[start : start + chunk]  # (K, B, g, R)
+            part = planes[start : start + chunk]  # (K, B, logical_rows)
             span = part.shape[0]
-            drive = np.ascontiguousarray(part.transpose(2, 0, 1, 3)).reshape(
-                grid_rows, span * batch, rows
+            reads = (span, batch, cols)
+            # Each block row's drive, zero-padded to the array height.
+            drive = scratch.take("drive", (grid_rows, span * batch, rows))
+            for block_row in range(grid_rows):
+                low = block_row * rows
+                width = min(rows, logical_rows - low)
+                lanes = drive[block_row].reshape(span, batch, rows)
+                lanes[:, :, :width] = part[:, :, low : low + width]
+                lanes[:, :, width:] = 0.0
+            folded = scratch.take(
+                "folded", (span, batch, n_planes, logical_cols)
             )
-            levels = np.matmul(drive, state.gmat).reshape(
-                grid_rows, span, batch, n_planes, grid_cols, cols
-            )
-            # Per-array read-path effects in the loop backend's order:
-            # drift scales the signal, then Gaussian read noise, then
-            # transient upsets.  Each effect draws from its own child
-            # stream per array, so a stacked (span, ...) draw consumes
-            # each stream exactly like the loop's sequential
-            # per-sub-cycle draws; drift is a deterministic per-event
-            # factor from the same read clock the loop advances.
-            drift = device.drift_nu > 0.0
-            noise = device.read_noise > 0.0
-            upsets = device.upset_rate > 0.0
-            if drift or noise or upsets:
-                for plane in range(n_planes):
-                    for block_row in range(grid_rows):
-                        for block_col in range(grid_cols):
-                            array = state.arrays[plane][block_row][block_col]
-                            view = levels[block_row, :, :, plane, block_col, :]
-                            if drift:
-                                view *= array.drift_factors(span)[
-                                    :, None, None
-                                ]
-                            if noise:
-                                view += array.read_noise_levels(
-                                    (span, batch, cols)
-                                )
-                            if upsets:
-                                view += array.transient_upset_levels(
-                                    (span, batch, cols)
-                                )
-            quantized = quantize_levels(levels, state.adc)
-            folded = quantized[0].copy()
-            for block_row in range(1, grid_rows):
-                folded += quantized[block_row]
-            folded = folded.reshape(span, batch, n_planes, grid_cols * cols)[
-                :, :, :, :logical_cols
-            ]
+
+            def strip_task(strip: int, own: _Scratch) -> None:
+                plane, block_col = divmod(strip, grid_cols)
+                low = block_col * cols
+                width = min(cols, logical_cols - low)
+                slot = folded[:, :, plane, low : low + width]
+                for block_row in range(grid_rows):
+                    array = state.arrays[plane][block_row][block_col]
+                    levels = np.matmul(
+                        drive[block_row],
+                        array.effective_levels(),
+                        out=own.take("levels", (span * batch, cols)),
+                    ).reshape(reads)
+                    # Columns past the logical matrix are read (their
+                    # noise draws keep each stream in step) but never
+                    # used, so only the logical ones are converted.
+                    used = levels[:, :, :width]
+                    # Read-path effects in the loop backend's order:
+                    # drift scales the signal, then Gaussian read
+                    # noise, then transient upsets.
+                    if drift:
+                        used *= array.drift_factors(span)[:, None, None]
+                    if noise:
+                        used += array.read_noise_levels(
+                            reads, out=own.take("noise", reads)
+                        )[:, :, :width]
+                    if upsets:
+                        used += array.transient_upset_levels(reads)[
+                            :, :, :width
+                        ]
+                    quantize_levels(used, adc, out=used)
+                    if block_row == 0:
+                        slot[...] = used
+                    else:
+                        slot += used
+
+            self._strips.run(strip_task, n_planes * grid_cols)
             weights = plane_weights[start : start + span]
             if exact_grid:
                 accumulator += input_sign * np.einsum(
@@ -966,7 +1031,7 @@ class CrossbarEngine(MatmulEngine):
     def _full_path_vectorized(
         self, pos_int: np.ndarray, neg_int: np.ndarray, a_scale: float
     ) -> np.ndarray:
-        """Batched evaluation: all sub-cycles through stacked tensors.
+        """Batched evaluation: all sub-cycles of a batch per array read.
 
         Bit-for-bit equivalent to :meth:`_full_path_loop` under a
         shared seed (covered by the backend-equivalence property
@@ -975,7 +1040,8 @@ class CrossbarEngine(MatmulEngine):
         loop backend exactly.
 
         When every per-array ADC conversion is provably the identity
-        (:meth:`_adc_transparent`), the sub-cycle loop collapses
+        (:attr:`CrossbarEngineConfig.is_collapsible`), the sub-cycle
+        loop collapses
         algebraically: the drive planes of one input sign recombine to
         the integer activations (``sum_k w_k * plane_k = integers`` in
         all three modes), so the whole evaluation is one matmul with

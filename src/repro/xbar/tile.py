@@ -73,7 +73,6 @@ class TiledCrossbar:
             for _ in range(grid_rows)
         ]
         self._effective_cache: Optional[np.ndarray] = None
-        self._level_block_cache: Optional[np.ndarray] = None
 
     @property
     def array_count(self) -> int:
@@ -97,11 +96,9 @@ class TiledCrossbar:
                 self.arrays[block_row][block_col].program(
                     levels[row_start:row_end, col_start:col_end]
                 )
-        # Programming changes the physical state; both derived caches
-        # (effective logical matrix, stacked level tensor) are stale
-        # from here on.
+        # Programming changes the physical state; the effective
+        # logical matrix is stale from here on.
         self._effective_cache = None
-        self._level_block_cache = None
 
     def mvm(self, drive: np.ndarray) -> np.ndarray:
         """Tiled MVM: per-array digitised partial sums, added vertically.
@@ -132,33 +129,6 @@ class TiledCrossbar:
                     :, : col_end - col_start
                 ]
         return output
-
-    def level_blocks(self) -> np.ndarray:
-        """Stacked effective level matrices of every physical array.
-
-        Returns a read-only ``(grid_rows, grid_cols, array_rows,
-        array_cols)`` tensor — the exact per-array state a read
-        multiplies by, which the vectorized backend contracts against
-        in one batched matmul instead of looping arrays.  Cached;
-        invalidated by :meth:`program`.
-        """
-        if self._level_block_cache is None:
-            stack = np.empty(
-                (
-                    self.grid_rows,
-                    self.grid_cols,
-                    self.array_rows,
-                    self.array_cols,
-                )
-            )
-            for block_row in range(self.grid_rows):
-                for block_col in range(self.grid_cols):
-                    stack[block_row, block_col] = self.arrays[block_row][
-                        block_col
-                    ].effective_levels()
-            stack.flags.writeable = False
-            self._level_block_cache = stack
-        return self._level_block_cache
 
     def effective_logical(self) -> np.ndarray:
         """The logical matrix the arrays actually hold, in level units.

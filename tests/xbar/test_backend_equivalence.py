@@ -148,6 +148,22 @@ class TestBitExactEquivalence:
                 engines["vectorized"].matmul(activations),
             )
 
+    def test_one_subcycle_chunks_stay_identical(self, monkeypatch, rng):
+        """Chunking the sub-cycle axis (rate coding's memory bound)
+        consumes every stream and the drift clock like one big chunk."""
+        from repro.xbar import engine as engine_module
+        from repro.xbar.dac import InputEncoding
+
+        monkeypatch.setattr(engine_module, "_VECTOR_CHUNK_ELEMENTS", 1)
+        kwargs = dict(
+            device=SOFT_DEVICE,
+            input_mode="rate",
+            encoding=InputEncoding(bits=RATE_BITS),
+        )
+        weights = rng.normal(size=(40, 24))
+        activations = rng.normal(size=(6, 40))
+        assert_bit_identical(run_both(kwargs, weights, activations))
+
     def test_reprogram_invalidates_cache(self, rng):
         """New weights must flow into the vectorized state."""
         first = rng.normal(size=(20, 12))
@@ -203,7 +219,6 @@ class TestCollapsedFastPath:
         engine.matmul(rng.normal(size=(2, 20)))
         assert engine._vector is not None
         assert engine._vector.collapsed is not None
-        assert engine._vector.gmat is None
 
     def test_collapse_engages_with_stuck_faults(self, rng):
         engine = CrossbarEngine(
@@ -231,7 +246,6 @@ class TestCollapsedFastPath:
         engine.prepare(rng.normal(size=(20, 12)))
         engine.matmul(rng.normal(size=(2, 20)))
         assert engine._vector.collapsed is None
-        assert engine._vector.gmat is not None
 
 
 class TestXbarStatsHistory:

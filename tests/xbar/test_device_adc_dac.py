@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.xbar.adc import ADCConfig, IntegrateFireADC
+from repro.xbar.adc import ADCConfig, IntegrateFireADC, quantize_levels
 from repro.xbar.dac import (
     AnalogDAC,
     InputEncoding,
@@ -117,6 +117,29 @@ class TestDeviceModel:
         model = DeviceModel(device, rng=6)
         noise = model.read_noise_levels((10000,), reads=4)
         assert np.std(noise) == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("reads", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**31 - 1])
+    def test_read_noise_stream_is_pinned(self, seed, reads):
+        """The draw is byte-for-byte ``normal(0, sigma * sqrt(reads))``
+        on the model's read stream (the third child of its seed), with
+        or without an ``out`` buffer."""
+        shape = (3, 5, 16)
+        sigma = NOISY_DEVICE.read_noise * np.sqrt(reads)
+        read_stream = np.random.SeedSequence(seed).spawn(4)[2]
+        expected = np.random.default_rng(read_stream).normal(
+            0.0, sigma, shape
+        )
+        drawn = DeviceModel(NOISY_DEVICE, rng=seed).read_noise_levels(
+            shape, reads=reads
+        )
+        assert drawn.tobytes() == expected.tobytes()
+        out = np.full(shape, np.nan)
+        into = DeviceModel(NOISY_DEVICE, rng=seed).read_noise_levels(
+            shape, reads=reads, out=out
+        )
+        assert into is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestStuckFaultPersistence:
@@ -285,6 +308,26 @@ class TestADC:
         adc = IntegrateFireADC(ADCConfig.lossless_for(64, 16))
         assert adc.is_lossless_for(64, 16)
         assert not adc.is_lossless_for(128, 16)
+
+    @pytest.mark.parametrize(
+        "config",
+        [ADCConfig.lossless_for(16, 16), ADCConfig(bits=3, full_scale_levels=50.0)],
+        ids=["unit-grid", "fractional-grid"],
+    )
+    def test_quantize_in_place_matches_reference(self, config, rng):
+        """In place or not, the transfer function is the textbook
+        clip / divide / round / multiply, bit for bit."""
+        values = rng.normal(20.0, 30.0, size=(4, 6, 16))
+        step = config.levels_per_count
+        expected = (
+            np.rint(np.clip(values, 0.0, config.full_scale_levels) / step)
+            * step
+        )
+        fresh = quantize_levels(values, config)
+        assert fresh.tobytes() == expected.tobytes()
+        view = values[:, :, :9]
+        quantize_levels(view, config, out=view)
+        assert view.tobytes() == expected[:, :, :9].tobytes()
 
 
 class TestSpikeCoder:

@@ -40,7 +40,7 @@ def _time_backend(backend: str, device, reps: int):
     config = CrossbarEngineConfig(
         fast_ideal=False, backend=backend, device=device
     )
-    collector = Collector(record_spans=False)
+    collector = Collector()
     engine = CrossbarEngine(config, rng=SEED, collector=collector)
     engine.prepare(weights)
     engine.matmul(activations)  # warm the per-prepare caches

@@ -38,7 +38,7 @@ def run_axis(axis, rates, collector=None):
 
 def _run_axis_timed(axis, rates):
     """(report, bench document) for one recorded campaign axis."""
-    collector = Collector(record_spans=False)
+    collector = Collector()
     start = time.perf_counter()
     report = run_axis(axis, rates, collector=collector)
     wall_time_s = time.perf_counter() - start

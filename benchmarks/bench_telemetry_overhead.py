@@ -22,7 +22,7 @@ import numpy as np
 
 from benchmarks._common import format_table, record, record_json
 from repro.bench import register
-from repro.telemetry import NULL_COLLECTOR, Collector, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, Collector, TelemetryLike, TraceLog
 from repro.telemetry import bench_document as _bench_document
 from repro.xbar.device import PIPELAYER_DEVICE
 from repro.xbar.engine import (
@@ -62,7 +62,7 @@ def _run(collector: TelemetryLike):
 
 @register(suite="quick")
 def bench_telemetry_overhead():
-    live = Collector()
+    live = Collector(trace=TraceLog())
     live_digest, live_s = _run(live)
     null_digest, null_s = _run(NULL_COLLECTOR)
 

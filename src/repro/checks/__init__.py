@@ -17,8 +17,8 @@ thread-shared state (CONC002), non-fork-safe process-pool captures
 (CONC003), emitters without tested validators (SCHEMA002), and stale
 suppressions (NOQA001).
 
-Run it as ``repro check [--format json|sarif] [--select RULES]
-[--baseline checks_baseline.json]`` or from Python::
+Run it as ``repro check [--format json|sarif] [--select RULES]`` or
+from Python::
 
     from repro import checks
 
@@ -40,18 +40,14 @@ from repro.checks.engine import (
     Finding,
     ProjectRule,
     Rule,
-    apply_baseline,
-    baseline_document,
     canonical_path,
     check_paths,
     check_report,
     check_source,
     default_root,
-    load_baseline,
     register,
     render_findings,
     suppressions,
-    validate_baseline_document,
     validate_check_report,
 )
 from repro.checks.graph import (
@@ -86,8 +82,6 @@ __all__ = [
     "ProjectIndex",
     "ProjectRule",
     "Rule",
-    "apply_baseline",
-    "baseline_document",
     "build_import_graph",
     "canonical_path",
     "check_paths",
@@ -95,13 +89,11 @@ __all__ = [
     "check_source",
     "default_root",
     "layer_of",
-    "load_baseline",
     "register",
     "render_findings",
     "rule_table",
     "sarif_document",
     "suppressions",
-    "validate_baseline_document",
     "validate_check_report",
     "validate_sarif_document",
 ]

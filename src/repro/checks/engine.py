@@ -473,93 +473,6 @@ def validate_check_report(document: Mapping[str, Any]) -> None:
         raise ValueError("counts disagrees with findings")
 
 
-# -- baseline ratchet -------------------------------------------------------
-#
-# A baseline is the set of findings a tree is *known* to have: matched
-# findings are muted so new code can adopt a rule incrementally, and
-# entries that no longer fire are reported as stale so the file only
-# ever shrinks.  Fingerprints are (rule, path, message) — line numbers
-# are excluded so unrelated edits do not churn the file.
-
-
-def baseline_document(
-    findings: Sequence[Finding],
-) -> Dict[str, Any]:
-    """A ``checks_baseline.json`` document muting ``findings``."""
-    entries = sorted(
-        {(f.rule, f.path, f.message) for f in findings}
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "check_baseline",
-        "entries": [
-            {"rule": rule, "path": path, "message": message}
-            for rule, path, message in entries
-        ],
-    }
-
-
-def validate_baseline_document(document: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``document`` is a check baseline."""
-    if document.get("kind") != "check_baseline":
-        raise ValueError(
-            f"not a check_baseline: kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported check_baseline schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    entries = document.get("entries")
-    if not isinstance(entries, list):
-        raise ValueError("check_baseline entries must be a list")
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ValueError("baseline entry must be an object")
-        for key in ("rule", "path", "message"):
-            if not isinstance(entry.get(key), str):
-                raise ValueError(
-                    f"baseline entry {key} must be a string"
-                )
-
-
-def load_baseline(path: Path) -> Dict[str, Any]:
-    """Read and validate a baseline file."""
-    import json
-
-    document = json.loads(Path(path).read_text())
-    validate_baseline_document(document)
-    return document
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Mapping[str, Any]
-) -> Tuple[List[Finding], List[Dict[str, str]]]:
-    """Split findings against a baseline.
-
-    Returns ``(fresh, stale)``: findings not muted by the baseline,
-    and baseline entries that no longer fire (the ratchet — stale
-    entries must be deleted from the file).
-    """
-    muted = {
-        (entry["rule"], entry["path"], entry["message"])
-        for entry in baseline["entries"]
-    }
-    fresh = [
-        finding
-        for finding in findings
-        if (finding.rule, finding.path, finding.message) not in muted
-    ]
-    fired = {(f.rule, f.path, f.message) for f in findings}
-    stale = [
-        entry
-        for entry in baseline["entries"]
-        if (entry["rule"], entry["path"], entry["message"])
-        not in fired
-    ]
-    return fresh, stale
-
-
 def render_findings(
     findings: Sequence[Finding], checked_rules: Iterable[str]
 ) -> str:

@@ -27,7 +27,7 @@ thin presentation layer over the same facade library users import.
 
 ``repro profile <subcommand> ...`` wraps any other subcommand in a
 :class:`repro.telemetry.Collector` and reports hierarchical counters,
-timing spans, and a Chrome-trace file on top of the wrapped workload.
+trace spans, and a Chrome-trace file on top of the wrapped workload.
 ``repro report`` renders the *derived* metrics — stage utilization,
 bubbles, ADC conversions per MAC — from a saved profile JSON or a
 freshly run subcommand.  ``repro bench`` drives the whole benchmark
@@ -53,6 +53,7 @@ from repro.reliability import AXES, campaign_summary
 from repro.telemetry import (
     SCHEMA_VERSION,
     Collector,
+    TraceLog,
     analyze_counters,
     counters_from,
     histogram_percentiles,
@@ -60,6 +61,7 @@ from repro.telemetry import (
     profile_report,
     render_analysis_report,
     sample_value,
+    trace_chrome_document,
     validate_analysis_report,
     validate_profile_report,
 )
@@ -377,8 +379,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trace=trace_root,
     )
     if trace_root is not None and trace_log is not None:
-        from repro.telemetry import trace_chrome_document
-
         trace_root.finish({"cells": len(cells)})
         write_json_atomic(
             Path(args.trace_out),
@@ -903,11 +903,12 @@ def _run_wrapped(
 ) -> Tuple[Collector, int, float, str]:
     """Run a parsed subcommand under a fresh telemetry collector.
 
-    The wrapped command prints its own report; stdout is captured so
-    the wrapper's document can be the only thing on stdout.  Returns
+    The collector records its spans into a fresh trace log.  The
+    wrapped command prints its own report; stdout is captured so the
+    wrapper's document can be the only thing on stdout.  Returns
     ``(collector, exit_code, wall_time_s, captured_stdout)``.
     """
-    collector = Collector()
+    collector = Collector(trace=TraceLog(proc="repro.profile"))
     inner.collector = collector
     buffer = io.StringIO()
     original_stdout = sys.stdout
@@ -930,7 +931,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     collector, exit_code, wall_time_s, wrapped_output = _run_wrapped(
         command, inner
     )
-    collector.write_chrome_trace(args.trace_out)
+    from repro.utils.io import write_json_atomic
+
     document = profile_report(
         collector,
         command,
@@ -939,6 +941,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         chrome_trace=args.trace_out,
     )
     validate_profile_report(document)
+    write_json_atomic(
+        Path(args.trace_out), trace_chrome_document(document["spans"])
+    )
     if args.json or getattr(inner, "json", False):
         json.dump(document, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -1039,21 +1044,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except (ValueError, FileNotFoundError) as error:
         print(f"check: {error}", file=sys.stderr)
         return 2
-    stale = []
-    if args.baseline:
-        try:
-            baseline = checks.load_baseline(Path(args.baseline))
-        except (OSError, ValueError) as error:
-            print(f"check: bad baseline: {error}", file=sys.stderr)
-            return 2
-        findings, stale = checks.apply_baseline(findings, baseline)
-        for entry in stale:
-            print(
-                "check: stale baseline entry (no longer fires): "
-                f"{entry['path']}: {entry['rule']} {entry['message']}"
-                " -- delete it from the baseline",
-                file=sys.stderr,
-            )
     targets = args.paths or [str(checks.default_root())]
     if args.format == "sarif":
         checked = select if select is not None else sorted(checks.RULES)
@@ -1071,7 +1061,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 findings, select if select is not None else checks.RULES
             )
         )
-    return 1 if findings or stale else 0
+    return 1 if findings else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1463,10 +1453,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
         help="run any subcommand under a telemetry collector",
         description="Wrap another subcommand in a telemetry collector "
-        "and report hierarchical counters, timing spans, and a "
-        "Chrome-trace file.  The counter section is deterministic "
-        "(byte-identical across same-seed runs and across engine "
-        "backends); spans are wall-clock.",
+        "and report hierarchical counters, trace spans, and a "
+        "Chrome-trace file.  Counters, span ids and logical ticks are "
+        "deterministic (byte-identical across same-seed runs and "
+        "across engine backends), and so is the Chrome trace; only "
+        "each span's duration_s is wall-clock.",
     )
     p_profile.add_argument(
         "--trace-out",
@@ -1592,8 +1583,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pass (ARCH001 layer DAG, CONC001-003 concurrency contracts, "
         "SCHEMA002 validator exhaustiveness, NOQA001 stale "
         "suppressions) over the installed package or the given paths.  "
-        "Exits 1 on findings (or stale baseline entries), 0 when "
-        "clean.  Suppress one line with '# repro: noqa[RULE]'.",
+        "Exits 1 on findings, 0 when clean.  Suppress one line with "
+        "'# repro: noqa[RULE]'.",
     )
     p_check.add_argument(
         "paths",
@@ -1607,14 +1598,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text; sarif emits a SARIF 2.1.0 "
         "log for GitHub code scanning)",
-    )
-    p_check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="checks_baseline.json ratchet file: listed findings are "
-        "muted, entries that no longer fire are reported stale (exit "
-        "1) so the file only ever shrinks",
     )
     p_check.add_argument(
         "--json",

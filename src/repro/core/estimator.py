@@ -179,9 +179,7 @@ def measured_table1(
     from repro.telemetry import Collector, attribute_energy
 
     check_positive("batch", batch)
-    tel = collector if collector is not None else Collector(
-        record_spans=False
-    )
+    tel = collector if collector is not None else Collector()
     costs = event_costs(tech)
     analytic = table1(batch=batch, tech=tech)
     rows: Dict[str, Any] = {}

@@ -165,7 +165,7 @@ class ProgrammedStateCache:
                         job.workload,
                         engine_config=self.resolved_config(job.backend),
                         seed=job.seed,
-                        collector=Collector(record_spans=False),
+                        collector=Collector(),
                     )
                     entry = CacheEntry(simulator=simulator, key=key)
                     with self._lock:

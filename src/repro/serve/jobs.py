@@ -134,8 +134,7 @@ class InferenceJob(JobSpec):
     """Forward ``count`` synthetic inputs through a deployed workload.
 
     ``input_seed`` selects the evaluation draw: ``None`` is the
-    workload's canonical evaluation set (the same inputs the classic
-    ``run_inference`` journey used); an explicit value derives an
+    workload's canonical evaluation set; an explicit value derives an
     independent input stream over the same class templates, letting
     tenants that share a model evaluate on distinct data.
     """

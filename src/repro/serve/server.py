@@ -575,7 +575,7 @@ class JobServer:
     # -- execution units -----------------------------------------------------
     async def _execute_group(self, records: List[_JobRecord]) -> None:
         loop = asyncio.get_event_loop()
-        local = Collector(record_spans=False)
+        local = Collector()
         specs = [record.spec for record in records]
         leader = records[0]
         carrier = None
@@ -640,7 +640,7 @@ class JobServer:
 
     async def _execute_single(self, record: _JobRecord) -> None:
         loop = asyncio.get_event_loop()
-        local = Collector(record_spans=False)
+        local = Collector()
         spec = record.spec
 
         def work() -> Tuple[Any, Optional[Dict[str, float]]]:
@@ -721,11 +721,15 @@ class JobServer:
         Each contribution is quantized to :data:`ENERGY_QUANTUM` so the
         cumulative counters are exact (order-independent) sums, then
         the ``energy/average_watts`` gauge is re-derived from the
-        cumulative joules over cumulative simulated seconds.
+        cumulative joules over cumulative simulated seconds.  A job
+        that priced no events still gives its tenant a zero
+        ``energy/total_joules`` counter, so whether a tenant appears
+        in ``/v1/metrics`` never depends on coalescing timing.
         """
-        if not energy:
-            return
         tenant_scope = self.collector.scope(f"serve/tenant[{tenant}]")
+        if not energy:
+            tenant_scope.count("energy/total_joules", 0.0)
+            return
         for name, value in energy.items():
             slice_value = _quantize_energy(value * share)
             tenant_scope.count(name, slice_value)

@@ -190,7 +190,7 @@ def run_cell(
     ``trace`` — stays byte-identical across worker counts.
     """
     function = resolve_cell_kind(cell.kind)
-    collector = Collector(record_spans=False)
+    collector = Collector()
     trace_spans = None
     if trace_carrier is not None:
         cell_log = TraceLog(proc=str(trace_carrier["proc"]))

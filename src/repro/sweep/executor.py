@@ -29,7 +29,7 @@ collector (default scope ``cell[<label>]``; campaigns map it to their
 legacy ``scenario[...]`` scopes, the CLI nests everything under
 ``sweep/``).  Merging happens in input order after all cells finish,
 so merged counters are identical for any worker count.  Per-cell
-wall-clock spans are only recorded on the single-process path (a
+collector spans are only recorded on the single-process path (a
 pooled cell's host time is not observable from the parent).
 """
 

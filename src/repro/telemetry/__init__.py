@@ -4,9 +4,10 @@ The accelerator's claims are counted events, so counting is a layer,
 not a logger: one :class:`Collector` threads through the crossbar
 engine (both backends, bit-identical counters), the pipeline schedule
 simulators, the training loop, and the reliability campaigns, keyed by
-``/``-separated component paths.  Timing :meth:`~Collector.span`\\ s
-ride along for profiling and export to the Chrome-trace format;
-they are wall-clock and excluded from every determinism contract.
+``/``-separated component paths.  Given a :class:`TraceLog`, its
+:meth:`~Collector.span`\\ s record :class:`TraceSpan`\\ s — the one span
+record of the package — with deterministic ids and logical ticks plus
+a wall-clock ``duration_s`` that no determinism contract reads.
 
 Raw counters are *consumed* by :mod:`repro.telemetry.analysis`, which
 derives the paper-level efficiency metrics (stage utilization and
@@ -16,23 +17,27 @@ tile occupancy for the engine) from any counter map.
 Quick start::
 
     from repro import Simulator
-    from repro.telemetry import Collector, analyze_counters
+    from repro.api import InferenceJob
+    from repro.telemetry import (
+        Collector, TraceLog, analyze_counters, trace_chrome_document,
+    )
 
-    collector = Collector()
+    collector = Collector(trace=TraceLog())
     sim = Simulator.from_workload("mlp", seed=0, collector=collector)
-    sim.run_inference(count=32)
+    sim.run(InferenceJob(workload="mlp", seed=0, count=32))
     print(collector.counters())          # engine/<layer>/... hierarchy
     report = analyze_counters(collector)  # derived metrics document
-    collector.write_chrome_trace("trace.json")   # chrome://tracing
+    chrome = trace_chrome_document(collector.trace.spans())  # Perfetto
 
 CLI: ``repro profile <subcommand> ...`` runs any existing subcommand's
-workload under a collector and emits the raw report; ``repro report``
+workload under a collector with a trace log and emits the raw report
+plus a Chrome trace; ``repro report``
 renders the derived-metrics analysis of a profile (or of a freshly
 run subcommand).
 
 Three further observability surfaces build on the collector for the
 serve/sweep stack: deterministic distributed tracing
-(:mod:`repro.telemetry.trace` — logical-clock spans that stitch across
+(:mod:`repro.telemetry.trace` — the same spans, stitched across
 processes), Prometheus text exposition
 (:mod:`repro.telemetry.metrics` — ``GET /v1/metrics``), and a
 structured JSONL job-lifecycle event log
@@ -56,16 +61,13 @@ from repro.telemetry.analysis import (
     stage_utilization,
 )
 from repro.telemetry.collector import (
-    DEFAULT_MAX_SPANS,
     DROPPED_SPANS_COUNTER,
     LATENCY_BUCKET_BOUNDS,
     NULL_COLLECTOR,
-    SCHEMA_VERSION,
     SIZE_BUCKET_BOUNDS,
     Collector,
     Histogram,
     ScopedCollector,
-    SpanRecord,
     TelemetryLike,
     default_bucket_bounds,
 )
@@ -104,6 +106,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.trace import (
     DEFAULT_MAX_TRACE_SPANS,
+    SCHEMA_VERSION,
     TraceContext,
     TraceLog,
     TraceSpan,
@@ -116,11 +119,9 @@ from repro.telemetry.trace import (
 __all__ = [
     "Collector",
     "ScopedCollector",
-    "SpanRecord",
     "TelemetryLike",
     "NULL_COLLECTOR",
     "SCHEMA_VERSION",
-    "DEFAULT_MAX_SPANS",
     "DROPPED_SPANS_COUNTER",
     "Histogram",
     "LATENCY_BUCKET_BOUNDS",

@@ -32,9 +32,10 @@ Counter-path patterns recognised
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Sequence, Union
 
-from repro.telemetry.collector import Collector, Number, SCHEMA_VERSION
+from repro.telemetry.collector import Collector, Number
+from repro.telemetry.trace import SCHEMA_VERSION
 
 _STAGE_RE = re.compile(r"stage\[(\d+)\]\.busy_cycles$")
 _RESOURCE_RE = re.compile(r"resource\[([^\]]+)\]\.busy_cycles$")

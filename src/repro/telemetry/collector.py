@@ -12,10 +12,11 @@ than a logger bolted on after the fact.  One :class:`Collector` holds
   **identical** counter telemetry under a shared seed (the
   bit-identity contract of :mod:`repro.xbar.engine`, extended to
   observability and enforced by the backend-equivalence tests).
-* **timing spans** — wall-clock intervals opened with :meth:`span`.
-  Spans are *non-deterministic by construction* (they measure the
-  host, not the simulated hardware) and are therefore excluded from
-  every equality check; exporters keep them in a separate section.
+* **spans** — intervals opened with :meth:`span`, recorded only when
+  the collector is given a :class:`~repro.telemetry.trace.TraceLog`.
+  Each becomes a :class:`~repro.telemetry.trace.TraceSpan` whose ids
+  and logical ticks are deterministic; its wall-clock ``duration_s``
+  measures the host and is excluded from every equality check.
 * **histograms** — fixed-bucket distributions recorded with
   :meth:`observe` (or the :meth:`timed` context manager for wall
   latencies).  Bucket *bounds* are deterministic constants chosen by
@@ -43,18 +44,16 @@ Every mutator begins with an ``enabled`` check, and the module-level
 an ``Optional[Collector]`` and fall back to it, so uninstrumented runs
 execute one predictable-false branch per hook and allocate nothing.
 A disabled collector records no counters, records no spans, and never
-changes simulation outputs (pinned by tests).
+changes simulation outputs (pinned by tests).  An enabled collector
+without a trace log skips spans at the same one-branch cost.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     ContextManager,
@@ -68,20 +67,14 @@ from typing import (
     Union,
 )
 
+from repro.telemetry.trace import TraceContext, TraceLog, trace_id_for
+
 Number = Union[int, float]
 
-#: Version stamp of every JSON document the telemetry layer emits.
-SCHEMA_VERSION = 1
-
-#: Default bound on recorded spans: a long training run opens one span
-#: per epoch and per profiled call, and an unbounded list would grow
-#: without limit (same rationale as the bounded per-call history of
-#: ``XbarStats``).  Past the cap, spans are counted but not stored.
-DEFAULT_MAX_SPANS = 100_000
-
-#: Counter path under which a collector accounts spans it had to drop
-#: because ``max_spans`` was reached — the overflow is *visible* in
-#: every counter report instead of silently truncating the timeline.
+#: Counter path under which a collector accounts spans its trace log
+#: had to drop because the log's ``max_spans`` was reached — the
+#: overflow is *visible* in every counter report instead of silently
+#: truncating the timeline.
 DROPPED_SPANS_COUNTER = "telemetry/dropped_spans"
 
 #: Default bucket upper bounds for ``*_seconds`` histogram paths:
@@ -189,24 +182,6 @@ class Histogram:
         )
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One closed timing span (wall-clock, non-deterministic)."""
-
-    path: str
-    start_s: float
-    duration_s: float
-    depth: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "depth": self.depth,
-        }
-
-
 class Collector:
     """Hierarchical counter + span store (see module docstring).
 
@@ -215,35 +190,31 @@ class Collector:
     enabled:
         ``False`` turns every mutator into a no-op — the collector
         records nothing and costs one branch per hook.
-    record_spans:
-        ``False`` keeps counters live but drops timing spans; the
-        crossbar engine's *private* collector (the one backing
-        ``engine.stats`` when no external collector is attached) runs
-        in this mode so hot matmul loops never accumulate span
-        records nobody asked for.
-    max_spans:
-        Bound on stored spans; further spans are timed but only
-        counted in :attr:`spans_dropped`.
+    trace:
+        The :class:`~repro.telemetry.trace.TraceLog` that :meth:`span`
+        records into; ``None`` (the default) keeps counters and
+        histograms live but skips spans, so hot engine loops never
+        accumulate records nobody asked for.  The log's ``max_spans``
+        bounds storage; its drops surface as the
+        :data:`DROPPED_SPANS_COUNTER` counter.
+
+    A collector with a trace log is single-threaded: it keeps one
+    stack of open spans, so its spans must all be opened and closed
+    on one thread.
     """
 
     def __init__(
         self,
         enabled: bool = True,
-        record_spans: bool = True,
-        max_spans: int = DEFAULT_MAX_SPANS,
+        trace: Optional[TraceLog] = None,
     ) -> None:
-        if max_spans < 0:
-            raise ValueError(f"max_spans must be >= 0, got {max_spans}")
         self.enabled = enabled
-        self.record_spans = record_spans
-        self.max_spans = max_spans
+        self.trace = trace
         self._counters: Dict[str, Number] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._spans: List[SpanRecord] = []
-        self._span_depth = 0
-        self._spans_dropped = 0
+        self._open: List[TraceContext] = []
+        self._roots = 0
         self._drop_warned = False
-        self._origin = time.perf_counter()
 
     # -- counters -----------------------------------------------------------
     def count(self, path: str, n: Number = 1) -> None:
@@ -396,67 +367,60 @@ class Collector:
     # -- spans --------------------------------------------------------------
     @contextmanager
     def span(self, path: str) -> Iterator[None]:
-        """Time a block of work as one wall-clock span at ``path``.
+        """Record a block of work as one span at ``path`` in the trace log.
 
-        Nesting is recorded through ``depth``; spans are never part of
-        any determinism contract.
+        Span ids are hierarchical (``"0"``, ``"0.1"``, ...): each span's
+        parent is the enclosing open span of this collector, so the
+        spans of one log form one connected trace.  Without a log (or
+        when disabled) this is a no-op.
         """
-        if not (self.enabled and self.record_spans):
+        log = self.trace
+        if not (self.enabled and log is not None):
             yield
             return
-        depth = self._span_depth
-        self._span_depth = depth + 1
+        if self._open:
+            context = self._open[-1].start(path)
+        else:
+            context = TraceContext(
+                trace_id=trace_id_for(log.proc),
+                span_id=str(self._roots),
+                parent_id=None,
+                name=path,
+                log=log,
+            )
+            self._roots += 1
+        self._open.append(context)
         start = time.perf_counter()
         try:
             yield
         finally:
             duration = time.perf_counter() - start
-            self._span_depth = depth
-            if len(self._spans) < self.max_spans:
-                self._spans.append(
-                    SpanRecord(
-                        path=path,
-                        start_s=start - self._origin,
-                        duration_s=duration,
-                        depth=depth,
-                    )
-                )
-            else:
+            self._open.pop()
+            dropped = log.dropped
+            context.finish(duration_s=duration)
+            if log.dropped > dropped:
                 # Surface the overflow instead of discarding silently:
-                # account the drop as a counter (visible in every
-                # report) and warn once per collector.
-                self._spans_dropped += 1
-                self._counters[DROPPED_SPANS_COUNTER] = (
-                    self._counters.get(DROPPED_SPANS_COUNTER, 0) + 1
-                )
+                # mirror the log's drop count as a counter (visible in
+                # every report) and warn once per collector.
+                self._counters[DROPPED_SPANS_COUNTER] = log.dropped
                 if not self._drop_warned:
                     self._drop_warned = True
                     _log.warning(
                         "span buffer full (max_spans=%d): dropping "
                         "further spans; drops are counted under %r",
-                        self.max_spans,
+                        log.max_spans,
                         DROPPED_SPANS_COUNTER,
                     )
 
-    def spans(self) -> List[SpanRecord]:
-        """The recorded spans, in closing order."""
-        return list(self._spans)
-
-    @property
-    def spans_dropped(self) -> int:
-        """Spans timed but not stored because ``max_spans`` was hit."""
-        return self._spans_dropped
-
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:
-        """Drop all counters, histograms, and spans; restart the origin."""
+        """Drop all counters and histograms; re-arm the drop warning.
+
+        Recorded spans belong to the trace log and stay there.
+        """
         self._counters.clear()
         self._histograms.clear()
-        self._spans.clear()
-        self._span_depth = 0
-        self._spans_dropped = 0
         self._drop_warned = False
-        self._origin = time.perf_counter()
 
     def scope(self, prefix: str) -> "ScopedCollector":
         """A view that prefixes every path with ``prefix + '/'``."""
@@ -469,62 +433,8 @@ class Collector:
     def __repr__(self) -> str:
         return (
             f"Collector(enabled={self.enabled}, "
-            f"counters={len(self._counters)}, spans={len(self._spans)})"
+            f"counters={len(self._counters)}, trace={self.trace!r})"
         )
-
-    # -- export -------------------------------------------------------------
-    def report(self) -> Dict[str, Any]:
-        """JSON-able document: counters (deterministic) + spans (not).
-
-        The counter section is byte-stable across runs with the same
-        seed and across engine backends; the span section measures the
-        host and is excluded from every equality check.
-        """
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "counters": self.counters(),
-            "counter_tree": self.counter_tree(),
-            "histograms": self.histograms(),
-            "spans": [record.to_dict() for record in self._spans],
-            "spans_dropped": self._spans_dropped,
-        }
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        """Spans as Chrome-trace / Perfetto "complete" (``X``) events.
-
-        Load the written file at ``chrome://tracing`` or
-        https://ui.perfetto.dev to see the span hierarchy on a
-        timeline.  Timestamps are microseconds since the collector's
-        origin; nesting falls out of the enclosing ts/dur intervals.
-        """
-        events: List[Dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 1,
-                "args": {"name": "repro.telemetry"},
-            }
-        ]
-        for record in self._spans:
-            events.append(
-                {
-                    "name": record.path,
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": 1,
-                    "ts": record.start_s * 1e6,
-                    "dur": record.duration_s * 1e6,
-                    "args": {"depth": record.depth},
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: Union[str, Path]) -> Path:
-        """Write :meth:`chrome_trace` to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.chrome_trace(), indent=2) + "\n")
-        return path
 
 
 class ScopedCollector:

@@ -37,9 +37,10 @@ leaf                     meaning
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.telemetry.collector import Number, SCHEMA_VERSION, TelemetryLike
+from repro.telemetry.collector import Number, TelemetryLike
+from repro.telemetry.trace import SCHEMA_VERSION
 
 #: Keys a cost table must carry (values: joules per event, watts for
 #: static power, seconds per sub-cycle).

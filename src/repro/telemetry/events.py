@@ -21,7 +21,7 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, Dict, Mapping, Optional, TextIO, Type, Union
 
-from repro.telemetry.collector import SCHEMA_VERSION
+from repro.telemetry.trace import SCHEMA_VERSION
 
 #: Lifecycle transitions a job record can journal, in order.
 EVENT_NAMES = ("submitted", "dispatched", "done", "error")

@@ -5,8 +5,9 @@ Three document kinds leave this module:
 * **profile reports** — what ``repro profile <subcommand> --json``
   emits: the wrapped command, its exit code and wall time, the full
   hierarchical counter map (deterministic: byte-identical across
-  backends and across same-seed runs), the timing spans
-  (non-deterministic, separate section), and the path of the written
+  backends and across same-seed runs), the collector's spans as
+  :class:`~repro.telemetry.trace.TraceSpan` dicts (deterministic but
+  for their wall-clock ``duration_s``), and the path of the written
   Chrome-trace file.
 * **benchmark documents** — the machine-readable ``BENCH_*.json``
   files the benchmark harness records next to its text tables, seeding
@@ -26,8 +27,8 @@ from __future__ import annotations
 from numbers import Number as _NumberABC
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.telemetry.collector import SCHEMA_VERSION, Collector
-from repro.telemetry.trace import TraceSpan, span_sort_key
+from repro.telemetry.collector import Collector
+from repro.telemetry.trace import SCHEMA_VERSION, TraceSpan, span_sort_key
 
 _PROFILE_REQUIRED = {
     "schema_version": int,
@@ -61,6 +62,7 @@ def profile_report(
     chrome_trace: Optional[str] = None,
 ) -> Dict[str, Any]:
     """The ``repro profile`` JSON document for one wrapped command."""
+    log = collector.trace
     document: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "profile",
@@ -70,8 +72,8 @@ def profile_report(
         "counters": collector.counters(),
         "counter_tree": collector.counter_tree(),
         "histograms": collector.histograms(),
-        "spans": [record.to_dict() for record in collector.spans()],
-        "spans_dropped": collector.spans_dropped,
+        "spans": log.to_dicts() if log is not None else [],
+        "spans_dropped": log.dropped if log is not None else 0,
     }
     if chrome_trace is not None:
         document["chrome_trace"] = str(chrome_trace)
@@ -135,10 +137,11 @@ def validate_profile_report(document: Dict[str, Any]) -> None:
             raise ValueError(f"counter {path!r} -> {value!r} is not a "
                              "string path with a numeric value")
     for span in document["spans"]:
-        for field in ("path", "start_s", "duration_s", "depth"):
+        for field in ("trace_id", "span_id", "parent_id", "name", "proc",
+                      "start", "end", "attrs", "duration_s"):
             if field not in span:
                 raise ValueError(f"span record missing field {field!r}")
-        if span["duration_s"] < 0 or span["depth"] < 0:
+        if span["end"] < span["start"] or span["duration_s"] < 0:
             raise ValueError(f"span record out of range: {span!r}")
 
 
@@ -165,21 +168,21 @@ def validate_bench_document(document: Dict[str, Any]) -> None:
 def trace_chrome_document(
     spans: Sequence[Union[TraceSpan, Mapping[str, Any]]],
 ) -> Dict[str, Any]:
-    """Chrome-trace JSON for deterministic trace spans, one pid per proc.
+    """Chrome-trace JSON for trace spans, one pid per proc.
 
-    The multi-process fix: :meth:`Collector.chrome_trace` renders
-    wall-clock spans of *one* process and hardcodes ``pid=1``/``tid=1``
-    — spans stitched from sweep workers or serve execution units would
-    interleave in a single lane.  Here every distinct ``proc`` name
-    gets its own pid (assigned by first appearance in span-id order,
-    so the assignment is deterministic), with a ``process_name``
-    metadata event labelling the lane.
+    The only Chrome exporter: sweep and serve traces and the spans of a
+    ``repro profile`` run all render here.  Every distinct ``proc``
+    name gets its own pid (assigned by first appearance in span-id
+    order, so the assignment is deterministic), with a
+    ``process_name`` metadata event labelling the lane — spans
+    stitched from sweep workers never interleave in a single lane.
 
     Timestamps are the spans' logical ticks rendered as microseconds —
     ordering and nesting are exact, absolute durations are not wall
-    time.  Because every input (ids, ticks, procs) is deterministic,
-    the whole document is byte-identical across same-seed runs and
-    worker counts.
+    time, and a span's wall-clock ``duration_s`` is left out.  Because
+    every input (ids, ticks, procs) is deterministic, the whole
+    document is byte-identical across same-seed runs and worker
+    counts.  Wall-time flame views come from ``perfbench``'s tracer.
     """
     ordered: List[TraceSpan] = sorted(
         (

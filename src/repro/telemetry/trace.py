@@ -1,10 +1,10 @@
 """Deterministic distributed tracing: one trace across many processes.
 
 A *trace* is the tree of work done on behalf of one logical request —
-a served job's path through queue, scheduler, cache, and engine, or a
-sweep's fan-out across a process pool.  Unlike the wall-clock
-:meth:`~repro.telemetry.Collector.span` timeline, traces here are
-**deterministic by construction**:
+a served job's path through queue, scheduler, cache, and engine, a
+sweep's fan-out across a process pool, or a ``repro profile`` run
+(whose :meth:`~repro.telemetry.Collector.span` calls record here too).
+Traces are **deterministic by construction**:
 
 * ``trace_id`` is a content hash of the root name
   (:func:`trace_id_for`), never wall-clock randomness;
@@ -48,10 +48,13 @@ from typing import (
     Tuple,
 )
 
-from repro.telemetry.collector import SCHEMA_VERSION
+#: Version stamp of every JSON document the telemetry layer emits.
+SCHEMA_VERSION = 1
 
-#: Bound on spans one :class:`TraceLog` stores (same rationale as the
-#: collector's span cap); overflow is counted in :attr:`TraceLog.dropped`.
+#: Bound on spans one :class:`TraceLog` stores: a long training run
+#: under ``repro profile`` opens one span per epoch and per engine
+#: call, and an unbounded list would grow without limit.  Overflow is
+#: counted in :attr:`TraceLog.dropped`.
 DEFAULT_MAX_TRACE_SPANS = 100_000
 
 
@@ -79,6 +82,12 @@ class TraceSpan:
     clock — comparable within one ``proc`` lane, not across lanes.
     ``attrs`` is a sorted tuple of ``(key, value)`` pairs so the
     record stays hashable and its JSON form canonical.
+
+    ``duration_s`` is the host wall time of a span recorded by
+    :meth:`repro.telemetry.Collector.span` and ``None`` otherwise.  It
+    measures the host, not the simulation, so :meth:`to_dict` omits it
+    when unset and the Chrome export never renders it: every
+    deterministic document stays byte-identical.
     """
 
     trace_id: str
@@ -89,9 +98,10 @@ class TraceSpan:
     start: int
     end: int
     attrs: Tuple[Tuple[str, Any], ...] = ()
+    duration_s: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        record: Dict[str, Any] = {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -101,6 +111,9 @@ class TraceSpan:
             "end": self.end,
             "attrs": dict(self.attrs),
         }
+        if self.duration_s is not None:
+            record["duration_s"] = self.duration_s
+        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "TraceSpan":
@@ -117,6 +130,10 @@ class TraceSpan:
             start=int(record["start"]),
             end=int(record["end"]),
             attrs=tuple(sorted(attrs.items())),
+            duration_s=(
+                None if record.get("duration_s") is None
+                else float(record["duration_s"])
+            ),
         )
 
 
@@ -298,7 +315,9 @@ class TraceContext:
         )
 
     def finish(
-        self, attrs: Optional[Mapping[str, Any]] = None
+        self,
+        attrs: Optional[Mapping[str, Any]] = None,
+        duration_s: Optional[float] = None,
     ) -> TraceSpan:
         """Close the span into the log; idempotence is an error."""
         if self._finished:
@@ -315,6 +334,7 @@ class TraceContext:
             start=self._start,
             end=self.log.tick(),
             attrs=tuple(sorted((attrs or {}).items())),
+            duration_s=duration_s,
         )
         self.log.add(span)
         return span
@@ -399,6 +419,7 @@ def validate_trace_document(document: Mapping[str, Any]) -> None:
 
 __all__ = [
     "DEFAULT_MAX_TRACE_SPANS",
+    "SCHEMA_VERSION",
     "TraceContext",
     "TraceLog",
     "TraceSpan",

@@ -11,6 +11,8 @@ import repro
 import repro.core
 from repro import Simulator
 from repro.api import (
+    InferenceJob,
+    TrainingJob,
     gan_scheme_report,
     mapping_sweep,
     pipeline_sweep,
@@ -40,7 +42,9 @@ class TestSimulator:
 
     def test_run_inference_counts_operations(self):
         sim = Simulator.from_workload("mlp", seed=3)
-        result = sim.run_inference(count=16, batch=8)
+        result = sim.run(
+            InferenceJob(workload="mlp", seed=3, count=16, batch=8)
+        )
         assert result.count == 16
         assert result.outputs.shape == (16, sim.dataset.classes)
         assert result.stats["mvm_calls"] > 0
@@ -50,12 +54,9 @@ class TestSimulator:
         assert "outputs" not in document
 
     def test_run_inference_is_deterministic(self):
-        first = Simulator.from_workload("mlp", seed=9).run_inference(
-            count=8, batch=8
-        )
-        second = Simulator.from_workload("mlp", seed=9).run_inference(
-            count=8, batch=8
-        )
+        job = InferenceJob(workload="mlp", seed=9, count=8, batch=8)
+        first = Simulator.from_workload("mlp", seed=9).run(job)
+        second = Simulator.from_workload("mlp", seed=9).run(job)
         assert np.array_equal(first.outputs, second.outputs)
 
     def test_backends_bit_identical_through_facade(self):
@@ -67,13 +68,18 @@ class TestSimulator:
             sim = Simulator.from_workload(
                 "mlp", engine_config=config, backend=backend, seed=4
             )
-            outputs[backend] = sim.run_inference(count=8, batch=8).outputs
+            outputs[backend] = sim.run(
+                InferenceJob(workload="mlp", seed=4, count=8, batch=8)
+            ).outputs
         assert np.array_equal(outputs["loop"], outputs["vectorized"])
 
     def test_train_reprograms_arrays(self):
         sim = Simulator.from_workload("mlp", seed=5)
-        result = sim.train(
-            epochs=1, batch=16, train_count=48, test_count=16
+        result = sim.run(
+            TrainingJob(
+                workload="mlp", seed=5, epochs=1, batch=16,
+                train_count=48, test_count=16,
+            )
         )
         assert result.stats["array_programs"] > 0
         assert result.batch_losses
@@ -85,7 +91,9 @@ class TestSimulator:
         assert sim.engine_info() == {}
         assert sim.stats() == {}
         # forward still works on the exact path
-        result = sim.run_inference(count=8, batch=8)
+        result = sim.run(
+            InferenceJob(workload="mlp", seed=3, count=8, batch=8)
+        )
         assert result.stats == {}
 
     def test_spec_derivation(self):

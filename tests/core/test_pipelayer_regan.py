@@ -228,7 +228,7 @@ class TestMeasuredTable1:
         from repro.core.estimator import measured_table1
         from repro.telemetry import Collector
 
-        collector = Collector(record_spans=False)
+        collector = Collector()
         measured_table1(batch=32, collector=collector)
         counters = collector.counters()
         assert any(

@@ -158,3 +158,23 @@ class TestEnergyExposition:
         assert sample_value(
             samples, "repro_serve_energy_total_joules"
         ) > 0
+
+    def test_tenant_with_unpriced_job_is_exposed_at_zero(self):
+        # bob's mlp inference lands on a warm cache entry and the fast
+        # ideal path, so it prices no events; alone, it shares no
+        # coalesced group that would hand it a slice of alice's cost.
+        mix = _mix()
+        with running_server(
+            ServerConfig(workers=1), collector=Collector()
+        ) as (_, address):
+            client = ServeClient(*address)
+            client.run(mix[0])
+            client.run(mix[1])
+            samples = parse_prometheus(client.metrics_text())
+        tenant_totals = {
+            dict(labels).get("tenant"): value
+            for (name, labels), value in samples.items()
+            if name == "repro_serve_tenant_energy_total_joules"
+        }
+        assert tenant_totals["bob"] == 0.0
+        assert tenant_totals["alice"] > 0.0

@@ -30,7 +30,7 @@ LAYERS, N_INPUTS, BATCH = 3, 8, 4
 
 @pytest.fixture()
 def pipeline_collector():
-    collector = Collector(record_spans=False)
+    collector = Collector()
     result = simulate_training_pipeline(
         LAYERS, N_INPUTS, BATCH, collector=collector.scope("pipeline")
     )
@@ -83,7 +83,7 @@ class TestStageUtilization:
 
 class TestResourceUtilization:
     def test_gan_schedule_counters(self):
-        collector = Collector(record_spans=False)
+        collector = Collector()
         result = simulate_gan_iteration(
             3, 3, 4, scheme="sp_cs", collector=collector.scope("gan")
         )
@@ -106,7 +106,7 @@ class TestResourceUtilization:
 class TestEngineMetrics:
     @pytest.fixture()
     def engine_collector(self):
-        collector = Collector(record_spans=False)
+        collector = Collector()
         engine = CrossbarEngine(
             CrossbarEngineConfig(fast_ideal=False),
             rng=1,

@@ -8,14 +8,19 @@ import pytest
 # ``bench_*`` functions (the benchmark harness), and a bare import
 # would be picked up as a test.
 from repro.telemetry import (
-    DEFAULT_MAX_SPANS,
+    DEFAULT_MAX_TRACE_SPANS,
     NULL_COLLECTOR,
     SCHEMA_VERSION,
     Collector,
     ScopedCollector,
+    TraceLog,
+    TraceSpan,
     profile_report,
+    trace_chrome_document,
+    trace_document,
     validate_bench_document,
     validate_profile_report,
+    validate_trace_document,
 )
 from repro.telemetry import bench_document as make_bench_document
 
@@ -77,13 +82,16 @@ class TestCounters:
         assert tree["a"]["b"]["c"] == 2
 
     def test_reset_clears_everything(self):
-        collector = Collector()
+        collector = Collector(trace=TraceLog())
         collector.count("x", 1)
+        collector.observe("h", 1)
         with collector.span("s"):
             pass
         collector.reset()
         assert collector.counters() == {}
-        assert collector.spans() == []
+        assert collector.histograms() == {}
+        # Spans belong to the caller's trace log and stay there.
+        assert len(collector.trace.spans()) == 1
 
 
 class TestMergeCounters:
@@ -119,13 +127,13 @@ class TestMergeCounters:
 
 class TestDisabled:
     def test_disabled_mutators_are_noops(self):
-        collector = Collector(enabled=False)
+        collector = Collector(enabled=False, trace=TraceLog())
         collector.count("x", 5)
         collector.set("y", 7)
         with collector.span("s"):
             pass
         assert collector.counters() == {}
-        assert collector.spans() == []
+        assert collector.trace.spans() == []
         assert not collector
 
     def test_null_collector_is_disabled(self):
@@ -137,58 +145,91 @@ class TestDisabled:
         assert Collector()
 
 
+def _traced():
+    return Collector(trace=TraceLog())
+
+
 class TestSpans:
     def test_span_records_path_and_duration(self):
-        collector = Collector()
+        collector = _traced()
         with collector.span("work"):
             pass
-        (record,) = collector.spans()
-        assert record.path == "work"
+        (record,) = collector.trace.spans()
+        assert isinstance(record, TraceSpan)
+        assert record.name == "work"
         assert record.duration_s >= 0.0
-        assert record.depth == 0
+        assert record.parent_id is None
+        assert record.end > record.start
 
     def test_nested_spans_track_depth(self):
-        collector = Collector()
+        collector = _traced()
         with collector.span("outer"):
             with collector.span("inner"):
                 pass
-        by_path = {record.path: record for record in collector.spans()}
-        assert by_path["outer"].depth == 0
-        assert by_path["inner"].depth == 1
+        with collector.span("next"):
+            pass
+        by_name = {span.name: span for span in collector.trace.spans()}
+        assert by_name["outer"].span_id == "0"
+        assert by_name["inner"].span_id == "0.0"
+        assert by_name["inner"].parent_id == "0"
+        assert by_name["next"].span_id == "1"
+        assert by_name["next"].parent_id is None
 
-    def test_record_spans_false_keeps_counters_only(self):
-        collector = Collector(record_spans=False)
+    def test_spans_form_one_connected_trace(self):
+        collector = _traced()
+        with collector.span("a"):
+            with collector.span("b"):
+                with collector.scope("x").span("c"):
+                    pass
+        with collector.span("d"):
+            pass
+        spans = collector.trace.spans()
+        (trace_id,) = {span.trace_id for span in spans}
+        validate_trace_document(trace_document(trace_id, spans))
+
+    def test_no_trace_log_keeps_counters_only(self):
+        collector = Collector()
         with collector.span("s"):
             collector.count("x")
-        assert collector.spans() == []
+        assert collector.trace is None
         assert collector.get("x") == 1
 
     def test_max_spans_bounds_storage(self):
-        collector = Collector(max_spans=2)
+        collector = Collector(trace=TraceLog(max_spans=2))
         for _ in range(5):
             with collector.span("s"):
                 pass
-        assert len(collector.spans()) == 2
-        assert collector.spans_dropped == 3
+        assert len(collector.trace.spans()) == 2
+        assert collector.trace.dropped == 3
 
     def test_negative_max_spans_rejected(self):
         with pytest.raises(ValueError):
-            Collector(max_spans=-1)
+            TraceLog(max_spans=-1)
 
     def test_default_max_spans(self):
-        assert Collector().max_spans == DEFAULT_MAX_SPANS
+        assert TraceLog().max_spans == DEFAULT_MAX_TRACE_SPANS
 
     def test_span_closes_on_exception(self):
-        collector = Collector()
+        collector = _traced()
         with pytest.raises(RuntimeError):
             with collector.span("failing"):
                 raise RuntimeError("boom")
-        (record,) = collector.spans()
-        assert record.path == "failing"
-        # Depth bookkeeping recovered: a new span is top-level again.
+        (record,) = collector.trace.spans()
+        assert record.name == "failing"
+        # The open-span stack recovered: a new span is top-level again.
         with collector.span("after"):
             pass
-        assert collector.spans()[-1].depth == 0
+        assert collector.trace.spans()[-1].parent_id is None
+
+    def test_duration_kept_out_of_deterministic_dicts(self):
+        collector = _traced()
+        with collector.span("s"):
+            pass
+        (record,) = collector.trace.spans()
+        assert "duration_s" in record.to_dict()
+        assert TraceSpan.from_dict(record.to_dict()) == record
+        untimed = TraceSpan("t", "0", None, "s", "main", 1, 2)
+        assert "duration_s" not in untimed.to_dict()
 
 
 class TestScopedCollector:
@@ -206,11 +247,11 @@ class TestScopedCollector:
         assert collector.get("engine/tile[0]/reads") == 1
 
     def test_scope_spans_land_in_base(self):
-        collector = Collector()
+        collector = _traced()
         with collector.scope("pipeline").span("stage"):
             pass
-        (record,) = collector.spans()
-        assert record.path == "pipeline/stage"
+        (record,) = collector.trace.spans()
+        assert record.name == "pipeline/stage"
 
     def test_scope_requires_prefix(self):
         with pytest.raises(ValueError):
@@ -223,22 +264,36 @@ class TestScopedCollector:
 
 class TestExport:
     def _collector(self):
-        collector = Collector()
+        collector = _traced()
         collector.count("engine/fc1/reads", 8)
         with collector.span("matmul"):
             pass
         return collector
 
     def test_report_shape(self):
-        document = self._collector().report()
+        document = profile_report(self._collector(), ["x"], 0, 0.1)
         assert document["schema_version"] == SCHEMA_VERSION
         assert document["counters"] == {"engine/fc1/reads": 8}
         assert document["counter_tree"]["engine"]["fc1"]["reads"] == 8
-        assert len(document["spans"]) == 1
+        (span,) = document["spans"]
+        assert span["name"] == "matmul"
+        assert span["duration_s"] >= 0
+        assert document["spans_dropped"] == 0
         json.dumps(document)
 
+    def test_profile_report_without_trace_log(self):
+        document = profile_report(Collector(), ["x"], 0, 0.1)
+        validate_profile_report(document)
+        assert document["spans"] == []
+
+    def test_profile_validator_rejects_bad_span(self):
+        document = profile_report(self._collector(), ["x"], 0, 0.1)
+        del document["spans"][0]["span_id"]
+        with pytest.raises(ValueError, match="span_id"):
+            validate_profile_report(document)
+
     def test_chrome_trace_events(self):
-        trace = self._collector().chrome_trace()
+        trace = trace_chrome_document(self._collector().trace.spans())
         assert trace["displayTimeUnit"] == "ms"
         kinds = [event["ph"] for event in trace["traceEvents"]]
         assert kinds[0] == "M"  # metadata first
@@ -246,13 +301,6 @@ class TestExport:
         complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert complete[0]["name"] == "matmul"
         assert complete[0]["dur"] >= 0
-
-    def test_write_chrome_trace(self, tmp_path):
-        out = tmp_path / "trace.json"
-        written = self._collector().write_chrome_trace(out)
-        assert written == out
-        loaded = json.loads(out.read_text())
-        assert "traceEvents" in loaded
 
     def test_profile_report_valid(self):
         document = profile_report(

@@ -22,6 +22,7 @@ from repro.telemetry import (
     histogram_percentiles,
     histogram_quantile,
     latency_summary,
+    profile_report,
 )
 
 
@@ -127,7 +128,7 @@ class TestCollectorHistograms:
     def test_report_carries_histograms(self):
         collector = Collector()
         collector.observe("batch_size_jobs", 4)
-        report = collector.report()
+        report = profile_report(collector, ["serve"], 0, 0.1)
         assert report["histograms"]["batch_size_jobs"]["count"] == 1
 
 

@@ -1,15 +1,25 @@
 """Span-buffer overflow: drops are counted and warned about once.
 
-Overflowing ``max_spans`` must never lose information silently — the
-drop count surfaces as the ``telemetry/dropped_spans`` counter in
-every report, and the collector warns exactly once per lifetime (not
-per dropped span) through the ``repro.telemetry`` logger.
+Overflowing a trace log's ``max_spans`` must never lose information
+silently — the log's drop count surfaces as the
+``telemetry/dropped_spans`` counter in every report, and the collector
+warns exactly once per lifetime (not per dropped span) through the
+``repro.telemetry`` logger.
 """
 
 import logging
 from contextlib import contextmanager
 
-from repro.telemetry import Collector, DROPPED_SPANS_COUNTER
+from repro.telemetry import (
+    DROPPED_SPANS_COUNTER,
+    Collector,
+    TraceLog,
+    profile_report,
+)
+
+
+def _capped(max_spans):
+    return Collector(trace=TraceLog(max_spans=max_spans))
 
 
 def _spin(collector, n):
@@ -46,24 +56,24 @@ def _capture_warnings():
 
 class TestSpanOverflow:
     def test_drops_counted_under_telemetry_path(self):
-        collector = Collector(max_spans=3)
+        collector = _capped(3)
         _spin(collector, 10)
-        assert len(collector.spans()) == 3
-        assert collector.spans_dropped == 7
+        assert len(collector.trace.spans()) == 3
+        assert collector.trace.dropped == 7
         assert collector.counters()[DROPPED_SPANS_COUNTER] == 7
         # The report carries both representations.
-        report = collector.report()
+        report = profile_report(collector, ["x"], 0, 0.1)
         assert report["spans_dropped"] == 7
         assert report["counters"][DROPPED_SPANS_COUNTER] == 7
 
     def test_no_counter_without_overflow(self):
-        collector = Collector(max_spans=16)
+        collector = _capped(16)
         _spin(collector, 5)
         assert DROPPED_SPANS_COUNTER not in collector.counters()
-        assert collector.spans_dropped == 0
+        assert collector.trace.dropped == 0
 
     def test_warns_exactly_once(self):
-        collector = Collector(max_spans=1)
+        collector = _capped(1)
         with _capture_warnings() as records:
             _spin(collector, 6)
         warnings = [
@@ -74,11 +84,10 @@ class TestSpanOverflow:
         assert warnings[0].name == "repro.telemetry"
 
     def test_reset_rearms_warning_and_counter(self):
-        collector = Collector(max_spans=1)
+        collector = _capped(1)
         with _capture_warnings() as records:
             _spin(collector, 3)
             collector.reset()
-            assert collector.spans_dropped == 0
             assert DROPPED_SPANS_COUNTER not in collector.counters()
             _spin(collector, 3)
         warnings = [
@@ -86,12 +95,14 @@ class TestSpanOverflow:
             if "span buffer full" in record.getMessage()
         ]
         assert len(warnings) == 2
-        assert collector.counters()[DROPPED_SPANS_COUNTER] == 2
+        # The counter mirrors the log, which reset() leaves alone.
+        assert collector.counters()[DROPPED_SPANS_COUNTER] == 5
+        assert collector.trace.dropped == 5
 
     def test_dropped_spans_counter_is_deterministic_metadata(self):
         """Same workload, same drops: the counter is part of the
         deterministic counter map, not wall-clock state."""
-        first, second = Collector(max_spans=2), Collector(max_spans=2)
+        first, second = _capped(2), _capped(2)
         _spin(first, 9)
         _spin(second, 9)
         assert (

@@ -18,7 +18,7 @@ from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
 
 
 def _run(backend, fast_ideal=False, rows=16, cols=16):
-    collector = Collector(record_spans=False)
+    collector = Collector()
     engine = CrossbarEngine(
         CrossbarEngineConfig(
             array_rows=rows,

@@ -62,7 +62,7 @@ def pretend_cpus(monkeypatch, count):
 
 def run_engine(kwargs, weights, batches):
     """Output bytes of each call, the counter tree and its priced energy."""
-    collector = Collector(record_spans=False)
+    collector = Collector()
     engine = CrossbarEngine(small_config(**kwargs), rng=9, collector=collector)
     engine.prepare(weights)
     outputs = [engine.matmul(batch).tobytes() for batch in batches]
